@@ -13,14 +13,7 @@
 //!   reference — generous slack for runner variance, but a model-wide
 //!   slowdown that halves throughput everywhere still fails.
 //!
-//! A third check reads `crates/bench/benches/BENCH_cache_probe.json`:
-//!
-//! * **probe ratio**: the default fused (presence-filtered) cache probe's
-//!   end-to-end throughput over the reference walk probe must stay above
-//!   the recorded `floor_fraction` — a filter that stops paying for its
-//!   own maintenance fails CI.
-//!
-//! A fourth check is self-referential (no baseline file):
+//! A third check is self-referential (no baseline file):
 //!
 //! * **warm-fork reuse**: a warm-up-heavy four-configuration grid forked
 //!   from a pre-captured `--snapshot-dir` image must beat the same grid run
@@ -28,7 +21,7 @@
 //!   stops winning, snapshot restore has become more expensive than the
 //!   simulation it replaces.
 //!
-//! A fifth check gates the telemetry subsystem's disabled path:
+//! A fourth check gates the telemetry subsystem's disabled path:
 //!
 //! * **telemetry-off overhead**: telemetry is forced off for every gated
 //!   measurement above, so the skip-engine **floor** check doubles as the
@@ -46,15 +39,15 @@ use std::time::Instant;
 use bard::experiment::{Comparison, RunLength};
 use bard::report::json::Json;
 use bard::runner::Runner;
-use bard::{EngineKind, ProbeKind, SnapshotStore, System, SystemConfig, WritePolicyKind};
+use bard::{EngineKind, SnapshotStore, System, SystemConfig, WritePolicyKind};
 use bard_workloads::WorkloadId;
 
 /// The shape `BENCH_sim_engine.json` records for the smoke check.
 const WORKLOAD: WorkloadId = WorkloadId::Lbm;
 const CORES: usize = 2;
 
-fn simulate(engine: EngineKind, probe: ProbeKind, length: RunLength) -> u64 {
-    let mut cfg = SystemConfig::small_test().with_engine(engine).with_probe(probe);
+fn simulate(engine: EngineKind, length: RunLength) -> u64 {
+    let mut cfg = SystemConfig::small_test().with_engine(engine);
     cfg.cores = CORES;
     let mut system = System::new(cfg, WORKLOAD);
     system.run(length.functional_warmup, length.timed_warmup, length.measure);
@@ -63,11 +56,11 @@ fn simulate(engine: EngineKind, probe: ProbeKind, length: RunLength) -> u64 {
 
 /// Best simulated-cycles/s over a few attempts (shields against one-off
 /// scheduler hiccups on shared runners).
-fn cycles_per_sec(engine: EngineKind, probe: ProbeKind, length: RunLength) -> f64 {
+fn cycles_per_sec(engine: EngineKind, length: RunLength) -> f64 {
     (0..3)
         .map(|_| {
             let start = Instant::now();
-            let cycles = simulate(engine, probe, length);
+            let cycles = simulate(engine, length);
             cycles as f64 / start.elapsed().as_secs_f64()
         })
         .fold(0.0f64, f64::max)
@@ -137,7 +130,7 @@ fn warm_fork_gate_failed() -> bool {
 fn report_telemetry_overhead(length: RunLength, skip_off: f64) {
     bard_bench::telemetry::set_enabled(true);
     bard_bench::telemetry::reset_metrics();
-    let skip_on = cycles_per_sec(EngineKind::Skip, ProbeKind::Fused, length);
+    let skip_on = cycles_per_sec(EngineKind::Skip, length);
     let phases = bard_bench::telemetry::phase_nanos();
     bard_bench::telemetry::set_enabled(false);
     let total: u64 = phases.iter().map(|(_, nanos)| nanos).sum();
@@ -167,20 +160,14 @@ fn main() {
     let recorded_skip = get_num(&json, baseline_path, &["perf_smoke", "skip_cycles_per_sec"]);
     let ratio_tolerance = get_num(&json, baseline_path, &["perf_smoke", "ratio_tolerance"]);
     let floor_fraction = get_num(&json, baseline_path, &["perf_smoke", "floor_fraction"]);
-    let probe_path = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/BENCH_cache_probe.json");
-    let probe_json = load_baseline(probe_path);
-    let probe_floor = get_num(&probe_json, probe_path, &["perf_smoke", "floor_fraction"]);
 
     let length = RunLength { functional_warmup: 100_000, timed_warmup: 2_000, measure: 10_000 };
-    let step = cycles_per_sec(EngineKind::Step, ProbeKind::Fused, length);
-    let skip = cycles_per_sec(EngineKind::Skip, ProbeKind::Fused, length);
-    let walk = cycles_per_sec(EngineKind::Skip, ProbeKind::Walk, length);
+    let step = cycles_per_sec(EngineKind::Step, length);
+    let skip = cycles_per_sec(EngineKind::Skip, length);
     let speedup = skip / step;
-    let fused_over_walk = skip / walk;
     println!(
         "perf_smoke: {} {}c step={step:.3e} skip={skip:.3e} cycles/s speedup={speedup:.2}x \
-         (recorded {recorded_speedup:.2}x @ {recorded_skip:.3e}) \
-         fused/walk={fused_over_walk:.2}x (floor {probe_floor:.2})",
+         (recorded {recorded_speedup:.2}x @ {recorded_skip:.3e})",
         WORKLOAD.name(),
         CORES,
     );
@@ -201,14 +188,6 @@ fn main() {
             "perf_smoke FAIL: skip engine {skip:.3e} simulated-cycles/s fell below the \
              {floor:.3e} floor ({:.0}% of the recorded reference)",
             floor_fraction * 100.0
-        );
-        failed = true;
-    }
-    if fused_over_walk < probe_floor {
-        eprintln!(
-            "perf_smoke FAIL: the fused probe's end-to-end throughput is only \
-             {fused_over_walk:.2}x the walk probe's, below the {probe_floor:.2} floor — the \
-             presence filter no longer pays for its own maintenance"
         );
         failed = true;
     }

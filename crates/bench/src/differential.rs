@@ -8,11 +8,9 @@
 //! * **time advance** — the reference `step` engine vs the exact next-event
 //!   `skip` engine ([`bard::EngineKind`]),
 //! * **DRAM command scheduling** — the full-queue `scan` scheduler vs the
-//!   per-bank `incremental` scheduler ([`bard_dram::SchedulerKind`]),
-//! * **cache lookup** — the reference `walk` probe vs the presence-filtered
-//!   `fused` probe ([`bard::ProbeKind`]).
+//!   per-bank `incremental` scheduler ([`bard_dram::SchedulerKind`]).
 //!
-//! Any `(engine, scheduler, probe)` combination must produce a **bitwise
+//! Any `(engine, scheduler)` combination must produce a **bitwise
 //! identical** [`RunResult`] (every counter, every `f64`) and byte-identical
 //! artifact text for any workload, configuration and run length. This module
 //! provides the machinery the stress tests (and any future fast path) build
@@ -28,9 +26,7 @@
 
 use bard::experiment::RunLength;
 use bard::report::{Artifact, Provenance};
-use bard::{
-    EngineKind, ProbeKind, RunOutcome, RunResult, Snapshot, System, SystemConfig, WritePolicyKind,
-};
+use bard::{EngineKind, RunOutcome, RunResult, Snapshot, System, SystemConfig, WritePolicyKind};
 use bard_cache::ReplacementKind;
 use bard_dram::{DramConfig, PagePolicy, SchedulerKind};
 use bard_workloads::rng::SmallRng;
@@ -42,8 +38,8 @@ use bard_workloads::WorkloadId;
 pub struct StressCase {
     /// Human-readable description for assertion messages.
     pub label: String,
-    /// System configuration (its `engine` / `dram.scheduler` / `probe`
-    /// fields are overridden per path).
+    /// System configuration (its `engine` / `dram.scheduler` fields are
+    /// overridden per path).
     pub config: SystemConfig,
     /// Workload to simulate.
     pub workload: WorkloadId,
@@ -51,26 +47,21 @@ pub struct StressCase {
     pub length: RunLength,
 }
 
-/// The engine × scheduler × probe cross product every case is pushed
-/// through.
+/// The engine × scheduler cross product every case is pushed through.
 #[must_use]
-pub fn all_paths() -> [(EngineKind, SchedulerKind, ProbeKind); 8] {
+pub fn all_paths() -> [(EngineKind, SchedulerKind); 4] {
     [
-        (EngineKind::Step, SchedulerKind::Scan, ProbeKind::Walk),
-        (EngineKind::Step, SchedulerKind::Scan, ProbeKind::Fused),
-        (EngineKind::Step, SchedulerKind::Incremental, ProbeKind::Walk),
-        (EngineKind::Step, SchedulerKind::Incremental, ProbeKind::Fused),
-        (EngineKind::Skip, SchedulerKind::Scan, ProbeKind::Walk),
-        (EngineKind::Skip, SchedulerKind::Scan, ProbeKind::Fused),
-        (EngineKind::Skip, SchedulerKind::Incremental, ProbeKind::Walk),
-        (EngineKind::Skip, SchedulerKind::Incremental, ProbeKind::Fused),
+        (EngineKind::Step, SchedulerKind::Scan),
+        (EngineKind::Step, SchedulerKind::Incremental),
+        (EngineKind::Skip, SchedulerKind::Scan),
+        (EngineKind::Skip, SchedulerKind::Incremental),
     ]
 }
 
 /// A short name for a path, used in assertion messages.
 #[must_use]
-pub fn path_name(engine: EngineKind, scheduler: SchedulerKind, probe: ProbeKind) -> String {
-    format!("{}/{}/{}", engine.name(), scheduler.name(), probe.name())
+pub fn path_name(engine: EngineKind, scheduler: SchedulerKind) -> String {
+    format!("{}/{}", engine.name(), scheduler.name())
 }
 
 impl StressCase {
@@ -185,17 +176,12 @@ impl StressCase {
         }
     }
 
-    /// Simulates this case along one `(engine, scheduler, probe)` path,
-    /// returning the run result, the final simulated cycle and the rendered
-    /// artifact text + CSV (which must all be path-invariant).
+    /// Simulates this case along one `(engine, scheduler)` path, returning
+    /// the run result, the final simulated cycle and the rendered artifact
+    /// text + CSV (which must all be path-invariant).
     #[must_use]
-    pub fn run_path(
-        &self,
-        engine: EngineKind,
-        scheduler: SchedulerKind,
-        probe: ProbeKind,
-    ) -> PathOutcome {
-        let mut config = self.config.clone().with_engine(engine).with_probe(probe);
+    pub fn run_path(&self, engine: EngineKind, scheduler: SchedulerKind) -> PathOutcome {
+        let mut config = self.config.clone().with_engine(engine);
         config.dram.scheduler = scheduler;
         let mut system = System::new(config, self.workload);
         let result = system.run(
@@ -208,15 +194,15 @@ impl StressCase {
         PathOutcome { result, final_cycle, text, csv }
     }
 
-    /// Runs the case through all eight paths and asserts that every result,
+    /// Runs the case through all four paths and asserts that every result,
     /// final cycle, artifact text and artifact CSV is bitwise identical.
     /// Returns the (canonical) result for further assertions.
     #[must_use]
     pub fn assert_paths_agree(&self) -> RunResult {
         let mut reference: Option<(PathOutcome, String)> = None;
-        for (engine, scheduler, probe) in all_paths() {
-            let name = path_name(engine, scheduler, probe);
-            let outcome = self.run_path(engine, scheduler, probe);
+        for (engine, scheduler) in all_paths() {
+            let name = path_name(engine, scheduler);
+            let outcome = self.run_path(engine, scheduler);
             match &reference {
                 None => reference = Some((outcome, name)),
                 Some((reference, ref_name)) => {
@@ -261,10 +247,9 @@ impl StressCase {
         &self,
         engine: EngineKind,
         scheduler: SchedulerKind,
-        probe: ProbeKind,
         pause_at: u64,
     ) -> PathOutcome {
-        let mut config = self.config.clone().with_engine(engine).with_probe(probe);
+        let mut config = self.config.clone().with_engine(engine);
         config.dram.scheduler = scheduler;
         let mut paused = System::new(config.clone(), self.workload);
         let outcome = paused.run_to_pause(
@@ -306,11 +291,11 @@ impl StressCase {
     #[must_use]
     pub fn assert_snapshot_parity(&self) -> RunResult {
         let mut reference: Option<(RunResult, String)> = None;
-        for (engine, scheduler, probe) in all_paths() {
-            let name = path_name(engine, scheduler, probe);
-            let straight = self.run_path(engine, scheduler, probe);
+        for (engine, scheduler) in all_paths() {
+            let name = path_name(engine, scheduler);
+            let straight = self.run_path(engine, scheduler);
             let pause_at = (straight.final_cycle / 2).max(1);
-            let resumed = self.run_path_checkpointed(engine, scheduler, probe, pause_at);
+            let resumed = self.run_path_checkpointed(engine, scheduler, pause_at);
             assert_eq!(
                 straight.final_cycle, resumed.final_cycle,
                 "{}: final cycle diverged after checkpoint/restore on {name}",
@@ -364,7 +349,7 @@ impl StressCase {
     }
 }
 
-/// What one `(engine, scheduler, probe)` path produced.
+/// What one `(engine, scheduler)` path produced.
 #[derive(Debug, Clone)]
 pub struct PathOutcome {
     /// The collected run result.

@@ -29,9 +29,6 @@
 //!   (default: `BARD_SCHED` or `incremental`). Both produce bitwise-identical
 //!   results; `scan` is the full-queue reference kept for differential
 //!   testing,
-//! * `--probe=walk|fused`: cache-hierarchy probe implementation (default:
-//!   `BARD_PROBE` or `fused`). Both produce bitwise-identical results;
-//!   `walk` is the per-level reference probe kept for differential testing,
 //! * `--format=text|json|csv`: stdout format (default `text`, byte-identical
 //!   to the historical output),
 //! * `--out=DIR`: additionally write `DIR/<experiment>.json` and
@@ -46,7 +43,7 @@ use std::path::{Path, PathBuf};
 use bard::experiment::{run_workloads_with, Comparison, RunLength};
 use bard::report::{Artifact, Provenance};
 use bard::runner::{Job, Runner};
-use bard::{EngineKind, ProbeKind, RunResult, SnapshotStore, SystemConfig, TraceConfig};
+use bard::{EngineKind, RunResult, SnapshotStore, SystemConfig, TraceConfig};
 use bard_dram::SchedulerKind;
 use bard_workloads::WorkloadId;
 
@@ -129,7 +126,6 @@ impl Cli {
         let mut snapshot_dir: Option<PathBuf> = None;
         let mut engine = EngineKind::from_env();
         let mut scheduler = SchedulerKind::from_env();
-        let mut probe = ProbeKind::from_env();
         for arg in args {
             if arg == "--test" {
                 length = RunLength::test();
@@ -172,11 +168,6 @@ impl Cli {
                 scheduler = Some(SchedulerKind::from_name(name).unwrap_or_else(|name| {
                     panic!("unknown scheduler '{name}' (scan|incremental)")
                 }));
-            } else if let Some(name) = arg.strip_prefix("--probe=") {
-                probe = Some(
-                    ProbeKind::from_name(name)
-                        .unwrap_or_else(|name| panic!("unknown probe '{name}' (walk|fused)")),
-                );
             } else if let Some(name) = arg.strip_prefix("--format=") {
                 format = OutputFormat::from_name(name)
                     .unwrap_or_else(|name| panic!("unknown format '{name}' (text|json|csv)"));
@@ -204,9 +195,6 @@ impl Cli {
         }
         if let Some(scheduler) = scheduler {
             config.dram.scheduler = scheduler;
-        }
-        if let Some(probe) = probe {
-            config.probe = probe;
         }
         let snapshots = snapshot_dir.map(SnapshotStore::new);
         Self { length, workloads, config, jobs, progress, format, out, snapshots }
@@ -297,8 +285,7 @@ fn print_usage() {
         "usage: <experiment> [--test|--quick|--standard] [--singles|--mixes] \
          [--workloads=a,b,c] [--cores=N] [--seed=N] [--trace-dir=DIR] \
          [--snapshot-dir=DIR] [--jobs=N] [--progress] [--engine=step|skip] \
-         [--sched=scan|incremental] [--probe=walk|fused] \
-         [--format=text|json|csv] [--out=DIR]"
+         [--sched=scan|incremental] [--format=text|json|csv] [--out=DIR]"
     );
 }
 
@@ -537,23 +524,6 @@ mod tests {
     #[should_panic(expected = "unknown scheduler")]
     fn unknown_scheduler_panics() {
         let _ = Cli::from_args(["--sched=magic".to_string()].into_iter());
-    }
-
-    #[test]
-    fn probe_flag_selects_the_cache_probe_path() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(cli.config.probe, ProbeKind::Fused, "fused is the default probe");
-        let cli = Cli::from_args(["--probe=walk".to_string()].into_iter());
-        assert_eq!(cli.config.probe, ProbeKind::Walk);
-        // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--probe=walk".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.probe, ProbeKind::Walk);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown probe")]
-    fn unknown_probe_panics() {
-        let _ = Cli::from_args(["--probe=psychic".to_string()].into_iter());
     }
 
     #[test]

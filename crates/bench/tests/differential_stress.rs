@@ -1,10 +1,10 @@
-//! Randomized differential stress suite: every `(engine, scheduler, probe)`
-//! path through the simulator must agree bitwise on randomized
-//! workload/config sweeps and on hand-picked queue-saturation cases.
+//! Randomized differential stress suite: every `(engine, scheduler)` path
+//! through the simulator must agree bitwise on randomized workload/config
+//! sweeps and on hand-picked queue-saturation cases.
 //!
 //! This is the acceptance harness for the model-work fast paths (per-bank
 //! incremental scheduling, batched compute dispatch, O(1) sleep gating,
-//! presence-filtered cache probing, single-waiter MSHR wake routing):
+//! single-waiter MSHR wake routing):
 //! anything they mis-schedule, mis-count or mis-wake shows up here as a
 //! field-level diff between the fast path and its executable reference.
 //! The default run keeps the debug-mode tier-1 suite affordable; CI's
@@ -62,7 +62,7 @@ fn saturated_queue_cases_agree_across_all_paths() {
 /// standing crowd of sleepers blocked on slot availability, so every DRAM
 /// completion exercises the single-waiter wake-routing machinery (ascending
 /// grant chains, waiter retargeting onto tracked lines, same-tick
-/// allocation intercepts) across all eight paths.
+/// allocation intercepts) across all four paths.
 #[test]
 fn mshr_saturated_cases_agree_across_all_paths() {
     for workload in [WorkloadId::Omnetpp, WorkloadId::Mix0] {
@@ -81,7 +81,7 @@ fn mshr_saturated_cases_agree_across_all_paths() {
 /// serialized, reparsed, restored into a fresh `System` and resumed — and
 /// the resumed run must be bitwise-identical (RunResult, final cycle,
 /// artifact text, artifact CSV) to the straightline run along **every**
-/// engine × scheduler × probe path. A different RNG stream than the
+/// engine × scheduler path. A different RNG stream than the
 /// path-parity sweep, so the two suites cover different configurations.
 #[test]
 fn randomized_cases_resume_bitwise_identically_from_snapshots() {

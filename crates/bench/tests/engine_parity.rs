@@ -15,10 +15,8 @@
 //!   both DRAM schedulers,
 //! * write-queue saturation shapes crossed over every (engine, scheduler)
 //!   path (randomized sweeps live in `differential_stress.rs`),
-//! * the walk vs fused cache-probe paths crossed with the engines and
-//!   schedulers, through the runner,
 //! * MSHR-saturation wake contention (eight cores on a two-entry MSHR file)
-//!   crossed over engines and probes, so the single-waiter wake-routing
+//!   crossed over the engines, so the single-waiter wake-routing
 //!   machinery is pinned against the reference step engine.
 //!
 //! Anything the skip engine mis-accounts over a slept or jumped span (a
@@ -29,7 +27,7 @@ use std::path::{Path, PathBuf};
 
 use bard::experiment::{run_workloads_on, RunLength};
 use bard::runner::Runner;
-use bard::{EngineKind, ProbeKind, RunResult, SystemConfig, TraceConfig};
+use bard::{EngineKind, RunResult, SystemConfig, TraceConfig};
 use bard_bench::differential::StressCase;
 use bard_dram::SchedulerKind;
 use bard_workloads::WorkloadId;
@@ -164,70 +162,31 @@ fn saturated_write_queues_are_engine_and_scheduler_invariant() {
     }
 }
 
-/// Cache-probe cross-check: the fused presence-filtered probe must match
-/// the reference walk probe bitwise under every engine and scheduler,
-/// through the runner. The fused path takes a different code route through
-/// every cache level (filter consult, single fused lookup), so any filter
-/// staleness or mask collision mishandling shows up here as a field-level
-/// diff.
-#[test]
-fn cache_probe_paths_are_engine_and_scheduler_invariant() {
-    let set = [WorkloadId::Lbm, WorkloadId::Mix0];
-    let mut baseline: Option<Vec<RunResult>> = None;
-    for engine in [EngineKind::Step, EngineKind::Skip] {
-        for scheduler in [SchedulerKind::Scan, SchedulerKind::Incremental] {
-            for probe in [ProbeKind::Walk, ProbeKind::Fused] {
-                let mut cfg = config(2, engine, None).with_probe(probe);
-                cfg.dram.scheduler = scheduler;
-                let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
-                match &baseline {
-                    None => baseline = Some(got),
-                    Some(baseline) => assert_identical(
-                        baseline,
-                        &got,
-                        &format!(
-                            "probe cross engine={} sched={} probe={}",
-                            engine.name(),
-                            scheduler.name(),
-                            probe.name()
-                        ),
-                    ),
-                }
-            }
-        }
-    }
-}
-
 /// MSHR-saturation wake contention: eight cores fighting over a two-entry
 /// MSHR file keep a standing crowd of slot-waiters, so every DRAM
 /// completion routes through the single-waiter wake machinery (ascending
 /// grant chains, waiter retargeting, same-tick allocation intercepts). The
 /// shape is owned by `StressCase::mshr_saturated` so this suite and
 /// `differential_stress.rs` can never drift onto different regimes; here it
-/// is crossed with engines and probes through the runner.
+/// is crossed with the engines through the runner.
 #[test]
 fn mshr_saturation_wake_contention_is_engine_invariant() {
     let set = [WorkloadId::Omnetpp, WorkloadId::Mix0];
     let mut baseline: Option<Vec<RunResult>> = None;
     for engine in [EngineKind::Step, EngineKind::Skip] {
-        for probe in [ProbeKind::Walk, ProbeKind::Fused] {
-            let cfg = StressCase::mshr_saturated(WorkloadId::Omnetpp)
-                .config
-                .with_engine(engine)
-                .with_probe(probe);
-            let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
-            assert!(
-                got.iter().all(|r| r.dram_stats.reads > 0),
-                "the MSHR-saturation shape must drive DRAM reads"
-            );
-            match &baseline {
-                None => baseline = Some(got),
-                Some(baseline) => assert_identical(
-                    baseline,
-                    &got,
-                    &format!("mshr saturation engine={} probe={}", engine.name(), probe.name()),
-                ),
-            }
+        let cfg = StressCase::mshr_saturated(WorkloadId::Omnetpp).config.with_engine(engine);
+        let got = run_workloads_on(&Runner::new(1), &cfg, &set, tiny());
+        assert!(
+            got.iter().all(|r| r.dram_stats.reads > 0),
+            "the MSHR-saturation shape must drive DRAM reads"
+        );
+        match &baseline {
+            None => baseline = Some(got),
+            Some(baseline) => assert_identical(
+                baseline,
+                &got,
+                &format!("mshr saturation engine={}", engine.name()),
+            ),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Telemetry acceptance tests: the metric catalog is pinned (names and
 //! schema), and the whole subsystem is proven side-effect-free — enabling
 //! it must not change a single bit of any simulation result or artifact
-//! along any engine × scheduler × probe path.
+//! along any engine × scheduler path.
 //!
 //! The enable flag, counters and trace sink are process globals, so every
 //! test that flips them lives in **one** test function
@@ -122,10 +122,10 @@ fn grid_trace_json(threads: usize) -> String {
 /// that depends on it lives here.
 ///
 /// 1. **On/off bitwise parity** (the telemetry invariant): an MSHR-saturated
-///    case and a randomized case each run along all eight
-///    engine × scheduler × probe paths with telemetry off and again with it
-///    on — `RunResult`, final cycle, artifact text and artifact CSV must be
-///    bitwise identical pairwise.
+///    case and a randomized case each run along all four engine × scheduler
+///    paths with telemetry off and again with it on — `RunResult`, final
+///    cycle, artifact text and artifact CSV must be bitwise identical
+///    pairwise.
 /// 2. **Trace determinism**: the same grid run serially and with four
 ///    workers must render byte-identical trace-event JSON (simulated-time
 ///    timestamps + canonical ordering make it `--jobs`-invariant).
@@ -137,12 +137,12 @@ fn telemetry_never_perturbs_results_and_traces_deterministically() {
     let mut rng = SmallRng::seed_from_u64(0x7E1E_0B5E);
     let cases = [StressCase::mshr_saturated(WorkloadId::Omnetpp), StressCase::random(&mut rng, 0)];
     for case in &cases {
-        for (engine, scheduler, probe) in all_paths() {
-            let name = path_name(engine, scheduler, probe);
+        for (engine, scheduler) in all_paths() {
+            let name = path_name(engine, scheduler);
             telemetry::set_enabled(false);
-            let off = case.run_path(engine, scheduler, probe);
+            let off = case.run_path(engine, scheduler);
             telemetry::set_enabled(true);
-            let on = case.run_path(engine, scheduler, probe);
+            let on = case.run_path(engine, scheduler);
             assert_eq!(
                 off.final_cycle, on.final_cycle,
                 "{}: enabling telemetry changed the final cycle on {name}",

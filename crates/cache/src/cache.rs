@@ -16,91 +16,6 @@ use crate::block::{CacheLine, EvictedLine};
 use crate::replacement::{ReplacementKind, ReplacementPolicy, ReplacementState};
 use crate::stats::CacheStats;
 
-/// Which cache-probe implementation the system uses on the demand path.
-///
-/// Both produce bitwise-identical results (the `engine_parity` and
-/// differential-stress suites pin this); they differ only in how much work a
-/// miss costs. The fused path is the default because a clean miss — by far
-/// the common case on the L2/LLC levels — is certified by a per-set presence
-/// filter without scanning the tag array; the walk path is kept forever as
-/// the executable reference the differential tests compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ProbeKind {
-    /// Reference implementation: every probe scans the set's tag array.
-    Walk,
-    /// Fused probes: the line tag and presence-filter bit are computed once
-    /// per access and carried across the L1/L2/LLC levels; per-set filters
-    /// certify clean misses without touching the tag array.
-    #[default]
-    Fused,
-}
-
-impl ProbeKind {
-    /// Parses a probe-path name (`walk` or `fused`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognised name.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "walk" => Ok(Self::Walk),
-            "fused" => Ok(Self::Fused),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads the `BARD_PROBE` environment variable (`walk` or `fused`).
-    /// Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — silently falling back would make a
-    /// probe-path comparison measure nothing.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        // bard-lint: allow(D1) -- sanctioned cosmetic-knob override, read once at config
-        // construction (never during simulation) and pinned result-neutral by the probe
-        // parity suites.
-        match std::env::var("BARD_PROBE") {
-            Ok(v) if v.is_empty() => None,
-            Ok(v) => Some(
-                Self::from_name(&v)
-                    .unwrap_or_else(|v| panic!("BARD_PROBE='{v}' (expected walk|fused)")),
-            ),
-            Err(_) => None,
-        }
-    }
-
-    /// The probe path's CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Walk => "walk",
-            Self::Fused => "fused",
-        }
-    }
-}
-
-/// Per-address probe state computed once and shared by every level of a
-/// fused cache walk: the line-aligned address (the tag every level compares
-/// against) and the presence-filter bit it hashes to. All levels of one
-/// hierarchy share a line size, so one computation serves all three probes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedProbe {
-    /// Line-aligned address.
-    pub line_addr: u64,
-    /// One-hot presence-filter mask for this line.
-    pub mask: u64,
-}
-
-impl FusedProbe {
-    /// Precomputes the probe state for a line-aligned address.
-    #[must_use]
-    pub fn new(line_addr: u64) -> Self {
-        Self { line_addr, mask: filter_mask(line_addr) }
-    }
-}
-
 /// The presence-filter bit a line address hashes to. A Fibonacci-hash
 /// multiply spreads line addresses (whose low bits repeat per set) over the
 /// 64 filter bits; the top six bits of the product select the bit.
@@ -110,39 +25,34 @@ fn filter_bit(line_addr: u64) -> u32 {
     (line_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as u32
 }
 
-/// The presence-filter mask of a line address (`1 << filter_bit`).
-#[inline]
-#[must_use]
-fn filter_mask(line_addr: u64) -> u64 {
-    1u64 << filter_bit(line_addr)
-}
-
 /// Interior-mutable twin of [`ProbeCounters`]: probes take `&self`, so the
 /// hot-path tallies live in `Cell`s (the cache is owned by one simulation
 /// thread; nothing shares it).
 #[derive(Debug, Default)]
 struct ProbeCounterCells {
-    set_scans: std::cell::Cell<u64>,
     filter_skips: std::cell::Cell<u64>,
     filter_passes: std::cell::Cell<u64>,
 }
 
 impl ProbeCounterCells {
     fn snapshot(&self) -> ProbeCounters {
+        // Only a filter pass scans the set, so the scan count is the pass
+        // count.
         ProbeCounters {
-            set_scans: self.set_scans.get(),
+            set_scans: self.filter_passes.get(),
             filter_skips: self.filter_skips.get(),
             filter_passes: self.filter_passes.get(),
         }
     }
 }
 
-/// Hot-path probe counters (never serialized into artifacts; printed by the
-/// `BARD_PERF_COUNTERS=1` one-line summary so lever impact is measurable
-/// without an external profiler).
+/// Hot-path probe counters (never serialized into artifacts; published as
+/// the `probe.*` registry counters and printed by the `BARD_PERF_COUNTERS=1`
+/// one-line summary). Every [`SetAssocCache::probe`] either skips or passes
+/// the presence filter, and only a pass scans the set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCounters {
-    /// Tag-array set scans performed.
+    /// Tag-array set scans performed (one per filter pass).
     pub set_scans: u64,
     /// Probes resolved by the presence filter without a scan (certified
     /// clean misses).
@@ -239,8 +149,8 @@ pub struct SetAssocCache {
     tags: Vec<u64>,
     /// Per-set presence filter: bit `hash(line)` is set for every resident
     /// line of the set (conservative — a set bit proves nothing, a clear bit
-    /// certifies absence). Maintained unconditionally on fill/evict (a few
-    /// cycles each); consulted only by the fused probe path.
+    /// certifies absence). Maintained on fill/evict/import (a few cycles
+    /// each) and consulted by every probe before it scans the set.
     filters: Vec<u64>,
     /// Per-way cached [`filter_bit`] of the resident tag, so the eviction
     /// rebuild is `ways` shift-ORs instead of `ways` rehashes.
@@ -378,34 +288,19 @@ impl SetAssocCache {
     }
 
     /// Looks up `addr` without changing any state. Returns the way on a hit.
+    ///
+    /// The set's presence filter is checked first: a clear filter bit
+    /// certifies the miss without scanning the tag array, a set bit falls
+    /// through to the scan.
     #[must_use]
     pub fn probe(&self, addr: u64) -> Option<usize> {
-        self.scan(self.set_of(addr), self.line_addr(addr))
-    }
-
-    /// [`SetAssocCache::probe`] through the per-set presence filter: when
-    /// the line's filter bit is clear, the miss is certified without
-    /// scanning the tag array. Returns exactly what `probe` would — a clear
-    /// bit proves absence, a set bit falls through to the scan.
-    #[must_use]
-    pub fn probe_fused(&self, probe: &FusedProbe) -> Option<usize> {
-        debug_assert_eq!(
-            probe.line_addr,
-            self.line_addr(probe.line_addr),
-            "fused probes must carry a line-aligned address"
-        );
-        let set = self.set_of(probe.line_addr);
-        if self.filters[set] & probe.mask == 0 {
+        let line_addr = self.line_addr(addr);
+        let set = self.set_of(addr);
+        if self.filters[set] & (1u64 << filter_bit(line_addr)) == 0 {
             self.counters.filter_skips.set(self.counters.filter_skips.get() + 1);
             return None;
         }
         self.counters.filter_passes.set(self.counters.filter_passes.get() + 1);
-        self.scan(set, probe.line_addr)
-    }
-
-    /// The tag-array scan both probe paths share.
-    fn scan(&self, set: usize, line_addr: u64) -> Option<usize> {
-        self.counters.set_scans.set(self.counters.set_scans.get() + 1);
         let base = set * self.config.ways;
         self.tags[base..base + self.config.ways].iter().position(|&t| t == line_addr)
     }
@@ -416,27 +311,6 @@ impl SetAssocCache {
     /// [`fill_at`](Self::fill_at)).
     pub fn touch(&mut self, addr: u64, signature: u16, is_write: bool) -> bool {
         let way = self.probe(addr);
-        self.touch_outcome(addr, way, signature, is_write)
-    }
-
-    /// [`SetAssocCache::touch`] through the presence filter (see
-    /// [`SetAssocCache::probe_fused`]). The demand-miss path updates only
-    /// the load/store counters, so a filter-certified miss leaves the cache
-    /// in exactly the state a scanned miss would.
-    pub fn touch_fused(&mut self, probe: &FusedProbe, signature: u16, is_write: bool) -> bool {
-        let way = self.probe_fused(probe);
-        self.touch_outcome(probe.line_addr, way, signature, is_write)
-    }
-
-    /// Applies the statistics and hit-path state changes of a demand access
-    /// whose probe already resolved to `way`.
-    fn touch_outcome(
-        &mut self,
-        addr: u64,
-        way: Option<usize>,
-        signature: u16,
-        is_write: bool,
-    ) -> bool {
         if is_write {
             self.stats.stores += 1;
         } else {
@@ -547,8 +421,6 @@ impl SetAssocCache {
         self.lines[idx] = CacheLine::empty();
         self.tags[idx] = TAG_INVALID;
         self.reused[idx] = false;
-        // Rebuild the set's presence filter without the departed tag: at
-        // most `ways` rehashes, and only on the (rare) eviction path.
         // Rebuild the set's presence filter without the departed tag from
         // the stored per-way bit indexes: `ways` shift-ORs, no rehashing.
         let base = set * self.config.ways;
@@ -662,13 +534,10 @@ mod tests {
             let mut restored = SetAssocCache::new(CacheConfig::new(1024, 4, 64), kind);
             restored.import_state(&state);
             assert_eq!(restored.export_state(), state);
-            // The rebuilt filters/tags must answer probes identically,
-            // through both probe paths.
+            // The rebuilt filters/tags must answer probes identically.
             for i in 0..300u64 {
                 let addr = (i * 64) % (8 * 4096);
                 assert_eq!(warmed.probe(addr), restored.probe(addr));
-                let probe = FusedProbe::new(warmed.line_addr(addr));
-                assert_eq!(warmed.probe_fused(&probe), restored.probe_fused(&probe));
             }
             // And future decisions must coincide.
             for set in 0..4 {
@@ -801,60 +670,112 @@ mod tests {
         assert_eq!(seen, vec![0x100, 0x300]);
     }
 
-    #[test]
-    fn probe_kind_defaults_to_fused_and_parses_names() {
-        assert_eq!(ProbeKind::default(), ProbeKind::Fused);
-        assert_eq!(ProbeKind::from_name("walk"), Ok(ProbeKind::Walk));
-        assert_eq!(ProbeKind::from_name("fused"), Ok(ProbeKind::Fused));
-        assert!(ProbeKind::from_name("psychic").is_err());
-        assert_eq!(ProbeKind::Walk.name(), "walk");
-        assert_eq!(ProbeKind::Fused.name(), "fused");
+    /// Reference lookup: a linear search over the set's lines, independent
+    /// of the tag array and the presence filter.
+    fn oracle_probe(c: &SetAssocCache, addr: u64) -> Option<usize> {
+        let line = c.line_addr(addr);
+        c.lines_in_set(c.set_of(addr)).iter().position(|l| l.valid && l.addr == line)
     }
 
-    /// The fused probe must agree with the reference walk probe on every
-    /// address, through fills, demand hits and evictions.
+    /// Whether a probe of `addr` must be certified by the filter alone: no
+    /// resident line of its set hashes to the same filter bit.
+    fn oracle_skips(c: &SetAssocCache, addr: u64) -> bool {
+        let bit = filter_bit(c.line_addr(addr));
+        !c.lines_in_set(c.set_of(addr)).iter().any(|l| l.valid && filter_bit(l.addr) == bit)
+    }
+
+    /// xorshift64 — deterministic, no external RNG.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random, not necessarily line-aligned address over 512 lines (32
+    /// times the test cache's capacity, so both hits and misses occur).
+    fn random_addr(state: &mut u64) -> u64 {
+        let r = next(state);
+        (r % 512) * 64 + (r >> 32) % 64
+    }
+
+    /// The filtered probe must agree with a linear search over the set's
+    /// lines after every state-changing primitive and across a snapshot
+    /// round-trip, and the filter must be exact: a probe skips the scan
+    /// precisely when no resident line shares its filter bit.
     #[test]
-    fn fused_probe_matches_walk_probe() {
+    fn probe_matches_linear_search_oracle() {
         let mut c = small_cache();
         let mut state = 0x1234_5678_9abc_def0u64;
-        let mut fused_probes = 0u64;
-        for _ in 0..5_000 {
-            // xorshift64 — deterministic, no external RNG.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let addr = (state % 4096) * 64;
-            let probe = FusedProbe::new(c.line_addr(addr));
-            assert_eq!(c.probe(addr), c.probe_fused(&probe), "addr {addr:#x}");
-            fused_probes += 1;
-            let walk_hit = c.touch(addr, 0, state & 1 == 0);
-            let fused_hit = c.touch_fused(&probe, 0, state & 1 == 0);
-            fused_probes += 1;
-            assert_eq!(walk_hit, fused_hit, "a hit stays a hit on an immediate re-touch");
-            if !walk_hit {
-                c.fill(addr, false, 0);
-                assert_eq!(c.probe(addr), c.probe_fused(&probe));
-                fused_probes += 1;
+        let mut probes = 0u64;
+        let mut counters = ProbeCounters::default();
+        for step in 0..5_000u32 {
+            let addr = random_addr(&mut state);
+            let r = next(&mut state);
+            let sig = (r % 13) as u16;
+            let set = (r >> 8) as usize % c.sets();
+            let way = (r >> 16) as usize % c.ways();
+            match r % 7 {
+                0 => {
+                    probes += 1;
+                    if !c.touch(addr, sig, r & (1 << 40) != 0) {
+                        c.fill(addr, r & (1 << 41) != 0, sig);
+                    }
+                }
+                1 => {
+                    probes += 1;
+                    if c.probe(addr).is_none() {
+                        c.fill_prefetch(addr, sig);
+                    }
+                }
+                2 => {
+                    probes += 1;
+                    if c.probe(addr).is_none() {
+                        let set = c.set_of(addr);
+                        c.evict(set, way);
+                        c.fill_at(set, way, addr, r & (1 << 41) != 0, sig);
+                    }
+                }
+                3 => {
+                    c.evict(set, way);
+                }
+                4 => {
+                    c.cleanse(set, way);
+                }
+                5 => {
+                    probes += 1;
+                    c.writeback_access(addr);
+                }
+                _ if step % 10 == 0 => {
+                    counters.merge(&c.probe_counters());
+                    let mut restored = small_cache();
+                    restored.import_state(&c.export_state());
+                    c = restored;
+                }
+                _ => {}
+            }
+            for _ in 0..8 {
+                let addr = random_addr(&mut state);
+                let skips = c.probe_counters().filter_skips;
+                assert_eq!(c.probe(addr), oracle_probe(&c, addr), "step {step} addr {addr:#x}");
+                let skipped = c.probe_counters().filter_skips > skips;
+                assert_eq!(skipped, oracle_skips(&c, addr), "step {step} addr {addr:#x}");
+                probes += 1;
             }
         }
-        let counters = c.probe_counters();
-        assert!(counters.set_scans > 0);
-        assert!(
-            counters.filter_skips > 0,
-            "evictions must clear filter bits so some misses are certified"
-        );
+        counters.merge(&c.probe_counters());
+        assert!(counters.filter_skips > 0, "evictions must clear filter bits");
         assert_eq!(
             counters.filter_skips + counters.filter_passes,
-            fused_probes,
-            "every fused probe either skips or passes the filter"
+            probes,
+            "every probe either skips or passes the filter"
         );
     }
 
     #[test]
     fn filter_certifies_cold_misses_without_scanning() {
         let c = small_cache();
-        let probe = FusedProbe::new(0x7000);
-        assert_eq!(c.probe_fused(&probe), None);
+        assert_eq!(c.probe(0x7000), None);
         let counters = c.probe_counters();
         assert_eq!(counters.filter_skips, 1);
         assert_eq!(counters.set_scans, 0, "an empty set must not be scanned");

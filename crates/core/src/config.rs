@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use bard_cache::{ProbeKind, ReplacementKind};
+use bard_cache::ReplacementKind;
 use bard_cpu::CoreConfig;
 use bard_dram::DramConfig;
 
@@ -198,9 +198,6 @@ pub struct SystemConfig {
     /// Simulation engine (never affects results, only wall clock; see
     /// [`EngineKind`]).
     pub engine: EngineKind,
-    /// Cache-probe implementation (never affects results, only wall clock;
-    /// see [`ProbeKind`]).
-    pub probe: ProbeKind,
 }
 
 impl SystemConfig {
@@ -231,7 +228,6 @@ impl SystemConfig {
             seed: 0x1BAD_B002,
             trace: None,
             engine: EngineKind::default(),
-            probe: ProbeKind::default(),
         }
     }
 
@@ -307,14 +303,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns a copy probing caches via `probe` (results are
-    /// probe-invariant; only wall clock changes).
-    #[must_use]
-    pub fn with_probe(mut self, probe: ProbeKind) -> Self {
-        self.probe = probe;
         self
     }
 
@@ -477,17 +465,6 @@ mod tests {
         // The engine never leaks into report labels: artifacts must be
         // byte-identical across engines.
         assert_eq!(c.label(), c.with_engine(EngineKind::Skip).label());
-    }
-
-    #[test]
-    fn probe_defaults_to_fused_and_stays_out_of_labels() {
-        assert_eq!(SystemConfig::baseline_8core().probe, ProbeKind::Fused);
-        let c = SystemConfig::small_test().with_probe(ProbeKind::Walk);
-        assert_eq!(c.probe, ProbeKind::Walk);
-        assert!(c.validate().is_ok());
-        // The probe path never leaks into report labels: artifacts must be
-        // byte-identical across probe implementations.
-        assert_eq!(c.label(), c.with_probe(ProbeKind::Fused).label());
     }
 
     #[test]

@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bard_cache::{
-    CacheState, CacheStats, MshrEntryState, MshrState, ProbeKind, ReplacementState,
-    StrideEntryState, StrideTableState,
+    CacheState, CacheStats, MshrEntryState, MshrState, ReplacementState, StrideEntryState,
+    StrideTableState,
 };
 use bard_cpu::{CoreRequest, CoreState, CoreStats, MemAccess, MemKind, TraceRecord};
 use bard_dram::{
@@ -1034,13 +1034,12 @@ pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError>
 /// Digest identifying the exact semantic configuration of a run. Two configs
 /// with the same full digest produce bitwise-identical simulations, so a
 /// full image captured under one restores into the other. Fields that never
-/// affect results — the engine, the probe path, the DRAM scheduler and the
-/// trace archive — are normalised away.
+/// affect results — the engine, the DRAM scheduler and the trace archive —
+/// are normalised away.
 #[must_use]
 pub fn full_digest(config: &SystemConfig, workload: WorkloadId) -> u64 {
     let mut c = config.clone();
     c.engine = EngineKind::Step;
-    c.probe = ProbeKind::Walk;
     c.trace = None;
     c.dram.scheduler = SchedulerKind::Scan;
     let mut h = Fnv64::new();
@@ -1427,9 +1426,8 @@ mod tests {
         let base = SystemConfig::small_test();
         let w = WorkloadId::Lbm;
         let full = full_digest(&base, w);
-        // Cosmetic fields (engine, probe, scheduler, trace) never change it.
+        // Cosmetic fields (engine, scheduler, trace) never change it.
         assert_eq!(full, full_digest(&base.clone().with_engine(EngineKind::Step), w));
-        assert_eq!(full, full_digest(&base.clone().with_probe(ProbeKind::Walk), w));
         let mut sched = base.clone();
         sched.dram.scheduler = SchedulerKind::Scan;
         assert_eq!(full, full_digest(&sched, w));

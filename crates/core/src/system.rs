@@ -28,8 +28,8 @@
 use std::collections::VecDeque;
 
 use bard_cache::{
-    CacheConfig, CacheStats, FusedProbe, IpStridePrefetcher, MshrFile, NextLinePrefetcher,
-    Prefetcher, ProbeCounters, ProbeKind, SetAssocCache,
+    CacheConfig, CacheStats, IpStridePrefetcher, MshrFile, NextLinePrefetcher, Prefetcher,
+    ProbeCounters, SetAssocCache,
 };
 use bard_cpu::{Core, CoreRequest, CoreStats, MemKind, TraceRecord, TraceSource};
 use bard_dram::{CompletedRead, EnergyBreakdown, MemRequest, MemoryController, SubChannelStats};
@@ -322,11 +322,6 @@ pub struct System {
     /// to the line-watch set and must re-check it this very tick (the
     /// pre-routing engine visited every watcher on completion ticks).
     forced_visit: u64,
-    /// Whether the fused probe path is active (`config.probe`), cached so
-    /// the per-access dispatch is a single branch.
-    // bard-lint: allow(S1) -- cache of the cosmetic `config.probe` knob; a restore rebuilds
-    // it from the restoring system's own config (probe parity makes this result-neutral).
-    probe_fused: bool,
     /// Lifetime count of perf-counter events (see `BARD_PERF_COUNTERS`):
     /// MSHR completions that freed a slot.
     perf_mshr_releases: u64,
@@ -431,7 +426,6 @@ impl System {
             mshr_line_watch_mask: 0,
             mshr_released: false,
             forced_visit: 0,
-            probe_fused: config.probe == ProbeKind::Fused,
             perf_mshr_releases: 0,
             perf_mshr_wakes: 0,
             config,
@@ -809,10 +803,9 @@ impl System {
             }
             if perf_counters_enabled() {
                 eprintln!(
-                    "[bard-perf] workload={} probe={} set_scans={} filter_skips={} \
-                     filter_passes={} mshr_releases={} mshr_wakes={} stat_settlements={}",
+                    "[bard-perf] workload={} set_scans={} filter_skips={} filter_passes={} \
+                     mshr_releases={} mshr_wakes={} stat_settlements={}",
                     self.workload.name(),
-                    self.config.probe.name(),
                     probes.set_scans,
                     probes.filter_skips,
                     probes.filter_passes,
@@ -1576,18 +1569,9 @@ impl System {
 
         let is_store = req.kind == MemKind::Store;
         let sig = signature(req.ip);
-        // Fused path: the line address, set index and presence-filter mask
-        // are computed once here and carried down the whole L1D -> L2 -> LLC
-        // walk (every level shares the line size, so the probe — a function
-        // of the line address alone — is level-invariant).
-        let probe = FusedProbe::new(line);
 
         // L1D
-        let l1_hit = if self.probe_fused {
-            self.cores[ci].l1d.touch_fused(&probe, sig, is_store)
-        } else {
-            self.cores[ci].l1d.touch(req.addr, sig, is_store)
-        };
+        let l1_hit = self.cores[ci].l1d.touch(req.addr, sig, is_store);
         let mut l1_prefetches = Vec::new();
         if let Some(pf) = &mut self.cores[ci].l1_prefetcher {
             pf.on_access(req.addr, req.ip, l1_hit, &mut l1_prefetches);
@@ -1599,11 +1583,7 @@ impl System {
         }
 
         // L2
-        let l2_hit = if self.probe_fused {
-            self.cores[ci].l2.touch_fused(&probe, sig, false)
-        } else {
-            self.cores[ci].l2.touch(req.addr, sig, false)
-        };
+        let l2_hit = self.cores[ci].l2.touch(req.addr, sig, false);
         let mut l2_prefetches = Vec::new();
         if let Some(pf) = &mut self.cores[ci].l2_prefetcher {
             pf.on_access(req.addr, req.ip, l2_hit, &mut l2_prefetches);
@@ -1620,11 +1600,7 @@ impl System {
         let llc_hit = {
             let mut wbs = std::mem::take(&mut self.scratch_writebacks);
             wbs.clear();
-            let hit = if self.probe_fused {
-                self.llc.read_access_fused(&probe, sig, &mut wbs)
-            } else {
-                self.llc.read_access(req.addr, sig, &mut wbs)
-            };
+            let hit = self.llc.read_access(req.addr, sig, &mut wbs);
             self.queue_writebacks(&mut wbs);
             self.scratch_writebacks = wbs;
             hit
@@ -1671,12 +1647,7 @@ impl System {
     /// Installs a line into a core's L1D, cascading any dirty eviction into
     /// the L2 (and from there into the LLC).
     fn fill_l1(&mut self, ci: usize, line: u64, dirty: bool, sig: u16) {
-        let present = if self.probe_fused {
-            self.cores[ci].l1d.probe_fused(&FusedProbe::new(line)).is_some()
-        } else {
-            self.cores[ci].l1d.probe(line).is_some()
-        };
-        if present {
+        if self.cores[ci].l1d.probe(line).is_some() {
             if dirty {
                 self.cores[ci].l1d.writeback_access(line);
             }
@@ -1693,12 +1664,7 @@ impl System {
     /// Installs a line into a core's L2, cascading any dirty eviction into the
     /// LLC.
     fn fill_l2(&mut self, ci: usize, line: u64, sig: u16) {
-        let present = if self.probe_fused {
-            self.cores[ci].l2.probe_fused(&FusedProbe::new(line)).is_some()
-        } else {
-            self.cores[ci].l2.probe(line).is_some()
-        };
-        if present {
+        if self.cores[ci].l2.probe(line).is_some() {
             return;
         }
         let result = self.cores[ci].l2.fill(line, false, sig);
@@ -1737,18 +1703,10 @@ impl System {
     fn issue_prefetches(&mut self, ci: usize, addrs: &[u64]) {
         for &addr in addrs {
             let line = self.line_of(addr);
-            let probe = FusedProbe::new(line);
-            let l2_has = if self.probe_fused {
-                self.cores[ci].l2.probe_fused(&probe).is_some()
-            } else {
-                self.cores[ci].l2.probe(line).is_some()
-            };
-            if l2_has {
+            if self.cores[ci].l2.probe(line).is_some() {
                 continue;
             }
-            let llc_has =
-                if self.probe_fused { self.llc.probe_fused(&probe) } else { self.llc.probe(line) };
-            if llc_has {
+            if self.llc.probe(line) {
                 // Bring it into the L2 only; the LLC already has it.
                 let result = self.cores[ci].l2.fill_prefetch(line, 0);
                 if let Some(evicted) = result.evicted {
@@ -1833,21 +1791,10 @@ impl System {
 
     fn functional_access(&mut self, ci: usize, addr: u64, is_write: bool) {
         let line = self.line_of(addr);
-        let probe = FusedProbe::new(line);
-        let l1_hit = if self.probe_fused {
-            self.cores[ci].l1d.touch_fused(&probe, 0, is_write)
-        } else {
-            self.cores[ci].l1d.touch(addr, 0, is_write)
-        };
-        if l1_hit {
+        if self.cores[ci].l1d.touch(addr, 0, is_write) {
             return;
         }
-        let l2_hit = if self.probe_fused {
-            self.cores[ci].l2.touch_fused(&probe, 0, false)
-        } else {
-            self.cores[ci].l2.touch(addr, 0, false)
-        };
-        if !l2_hit {
+        if !self.cores[ci].l2.touch(addr, 0, false) {
             self.llc.functional_access(line, false);
             let result = self.cores[ci].l2.fill(line, false, 0);
             if let Some(evicted) = result.evicted {
