@@ -153,7 +153,6 @@ fn main() {
     // check then doubles as the telemetry-off overhead gate: any cost left
     // on the disabled path shows up as lost absolute throughput.
     bard_bench::telemetry::set_enabled(false);
-    bard_bench::telemetry::set_perf_line_enabled(false);
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/benches/BENCH_sim_engine.json");
     let json = load_baseline(baseline_path);
     let recorded_speedup = get_num(&json, baseline_path, &["perf_smoke", "skip_over_step"]);

@@ -618,8 +618,9 @@ fn tab07(cli: &Cli, a: &mut Artifact) {
     {
         // tab07 deliberately simulates the full 8/16-core systems whatever
         // the CLI baseline is, but the seed, trace archive, engine and
-        // scheduler still follow the CLI so --seed= sweeps, --trace-dir=
-        // replay and --engine=/--sched= comparisons cover it too.
+        // scheduler still follow the CLI config so --seed= sweeps,
+        // --trace-dir= replay and the engine/scheduler parity tests cover
+        // it too.
         let mut base_cfg = base_cfg
             .with_seed(cli.config.seed)
             .with_trace(cli.config.trace.clone())

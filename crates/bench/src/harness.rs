@@ -21,14 +21,6 @@
 //!   host cores; `--jobs=1` forces the serial path),
 //! * `--progress`: stream `[bard-progress]` percent-complete/ETA lines to
 //!   stderr while the grid runs (weighted by per-job instruction budgets),
-//! * `--engine=step|skip`: simulation engine (default: `BARD_ENGINE` or
-//!   `skip`). The cycle-skipping engine is bitwise-identical to the
-//!   reference step engine and much faster; `step` exists for parity checks
-//!   and bisection,
-//! * `--sched=scan|incremental`: DRAM command-scheduler implementation
-//!   (default: `BARD_SCHED` or `incremental`). Both produce bitwise-identical
-//!   results; `scan` is the full-queue reference kept for differential
-//!   testing,
 //! * `--format=text|json|csv`: stdout format (default `text`, byte-identical
 //!   to the historical output),
 //! * `--out=DIR`: additionally write `DIR/<experiment>.json` and
@@ -43,8 +35,7 @@ use std::path::{Path, PathBuf};
 use bard::experiment::{run_workloads_with, Comparison, RunLength};
 use bard::report::{Artifact, Provenance};
 use bard::runner::{Job, Runner};
-use bard::{EngineKind, RunResult, SnapshotStore, SystemConfig, TraceConfig};
-use bard_dram::SchedulerKind;
+use bard::{RunResult, SnapshotStore, SystemConfig, TraceConfig};
 use bard_workloads::WorkloadId;
 
 /// What an experiment binary writes to stdout.
@@ -124,8 +115,6 @@ impl Cli {
         let mut seed = None;
         let mut trace_dir: Option<PathBuf> = None;
         let mut snapshot_dir: Option<PathBuf> = None;
-        let mut engine = EngineKind::from_env();
-        let mut scheduler = SchedulerKind::from_env();
         for arg in args {
             if arg == "--test" {
                 length = RunLength::test();
@@ -159,15 +148,6 @@ impl Cli {
                 jobs = n.parse().expect("--jobs=N needs a number");
             } else if arg == "--progress" {
                 progress = true;
-            } else if let Some(name) = arg.strip_prefix("--engine=") {
-                engine = Some(
-                    EngineKind::from_name(name)
-                        .unwrap_or_else(|name| panic!("unknown engine '{name}' (step|skip)")),
-                );
-            } else if let Some(name) = arg.strip_prefix("--sched=") {
-                scheduler = Some(SchedulerKind::from_name(name).unwrap_or_else(|name| {
-                    panic!("unknown scheduler '{name}' (scan|incremental)")
-                }));
             } else if let Some(name) = arg.strip_prefix("--format=") {
                 format = OutputFormat::from_name(name)
                     .unwrap_or_else(|name| panic!("unknown format '{name}' (text|json|csv)"));
@@ -189,12 +169,6 @@ impl Cli {
         }
         if let Some(dir) = trace_dir {
             config.trace = Some(TraceConfig::for_run_length(dir, length));
-        }
-        if let Some(engine) = engine {
-            config.engine = engine;
-        }
-        if let Some(scheduler) = scheduler {
-            config.dram.scheduler = scheduler;
         }
         let snapshots = snapshot_dir.map(SnapshotStore::new);
         Self { length, workloads, config, jobs, progress, format, out, snapshots }
@@ -225,15 +199,13 @@ impl Cli {
     /// Runs one configuration over the CLI workload set, in parallel.
     #[must_use]
     pub fn run(&self, config: &SystemConfig) -> Vec<RunResult> {
-        let results = run_workloads_with(
+        run_workloads_with(
             &self.runner(),
             config,
             &self.workloads,
             self.length,
             self.snapshots.as_ref(),
-        );
-        self.report_snapshot_counters();
-        results
+        )
     }
 
     /// Runs several configurations over the CLI workload set as **one**
@@ -251,7 +223,6 @@ impl Cli {
         for _ in configs {
             grouped.push(flat.drain(..self.workloads.len()).collect());
         }
-        self.report_snapshot_counters();
         grouped
     }
 
@@ -259,24 +230,14 @@ impl Cli {
     /// simulating the baseline once and the whole grid in parallel.
     #[must_use]
     pub fn compare(&self, baseline: &SystemConfig, variants: &[SystemConfig]) -> Vec<Comparison> {
-        let comparisons = Comparison::run_many_with(
+        Comparison::run_many_with(
             &self.runner(),
             baseline,
             variants,
             &self.workloads,
             self.length,
             self.snapshots.as_ref(),
-        );
-        self.report_snapshot_counters();
-        comparisons
-    }
-
-    /// Emits the `[bard-perf] snapshot ...` stderr line after a
-    /// snapshot-backed grid, when `BARD_PERF_COUNTERS` is enabled.
-    fn report_snapshot_counters(&self) {
-        if self.snapshots.is_some() {
-            bard::snapshot::print_counters_if_enabled();
-        }
+        )
     }
 }
 
@@ -284,8 +245,8 @@ fn print_usage() {
     eprintln!(
         "usage: <experiment> [--test|--quick|--standard] [--singles|--mixes] \
          [--workloads=a,b,c] [--cores=N] [--seed=N] [--trace-dir=DIR] \
-         [--snapshot-dir=DIR] [--jobs=N] [--progress] [--engine=step|skip] \
-         [--sched=scan|incremental] [--format=text|json|csv] [--out=DIR]"
+         [--snapshot-dir=DIR] [--jobs=N] [--progress] [--format=text|json|csv] \
+         [--out=DIR]"
     );
 }
 
@@ -486,44 +447,6 @@ mod tests {
     #[should_panic(expected = "--jobs=N needs a number")]
     fn malformed_jobs_flag_panics() {
         let _ = Cli::from_args(["--jobs=lots".to_string()].into_iter());
-    }
-
-    #[test]
-    fn engine_flag_selects_the_simulation_engine() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(cli.config.engine, EngineKind::Skip, "skip is the default engine");
-        let cli = Cli::from_args(["--engine=step".to_string()].into_iter());
-        assert_eq!(cli.config.engine, EngineKind::Step);
-        // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--engine=step".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.engine, EngineKind::Step);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown engine")]
-    fn unknown_engine_panics() {
-        let _ = Cli::from_args(["--engine=warp".to_string()].into_iter());
-    }
-
-    #[test]
-    fn sched_flag_selects_the_dram_scheduler() {
-        let cli = Cli::from_args(std::iter::empty());
-        assert_eq!(
-            cli.config.dram.scheduler,
-            SchedulerKind::Incremental,
-            "incremental is the default scheduler"
-        );
-        let cli = Cli::from_args(["--sched=scan".to_string()].into_iter());
-        assert_eq!(cli.config.dram.scheduler, SchedulerKind::Scan);
-        // Flag order must not matter: presets replace the config wholesale.
-        let cli = Cli::from_args(["--sched=scan".to_string(), "--test".to_string()].into_iter());
-        assert_eq!(cli.config.dram.scheduler, SchedulerKind::Scan);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown scheduler")]
-    fn unknown_scheduler_panics() {
-        let _ = Cli::from_args(["--sched=magic".to_string()].into_iter());
     }
 
     #[test]

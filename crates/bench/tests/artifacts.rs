@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 
 use bard::report::{csv, schema, Json};
+use bard_bench::differential::{all_paths, path_name};
 use bard_bench::experiments::{find, Experiment};
 use bard_bench::harness::{write_artifact_files, Cli};
 use bard_bench::repro::{run_suite, select};
@@ -131,6 +132,29 @@ fn written_artifact_files_parse_from_disk() {
 
     let csv_text = std::fs::read_to_string(tmp.0.join(&csv_name)).unwrap();
     assert_eq!(csv::parse(&csv_text).unwrap()[0], schema::CSV_COLUMNS);
+}
+
+/// Artifact output must not depend on the simulation engine or the DRAM
+/// scheduler: fig03's text and tab05's CSV (every record and delta, no wall
+/// clocks) are byte-identical across every `(engine, scheduler)` path.
+#[test]
+fn artifacts_are_byte_identical_across_engine_and_scheduler_paths() {
+    let mut reference: Option<(String, String)> = None;
+    for (engine, scheduler) in all_paths() {
+        let mut cli = test_cli(None);
+        cli.config.engine = engine;
+        cli.config.dram.scheduler = scheduler;
+        let fig03 = find("fig03").unwrap().run_to_artifact(&cli).render_text();
+        let tab05 = find("tab05").unwrap().run_to_artifact(&cli).to_csv();
+        match &reference {
+            None => reference = Some((fig03, tab05)),
+            Some((ref_fig03, ref_tab05)) => {
+                let path = path_name(engine, scheduler);
+                assert_eq!(&fig03, ref_fig03, "fig03 text diverged on {path}");
+                assert_eq!(&tab05, ref_tab05, "tab05 CSV diverged on {path}");
+            }
+        }
+    }
 }
 
 /// Renders the *shape* of a JSON document: every key path with its value

@@ -9,7 +9,8 @@
 //!   at every core count under `BARD_PARITY=full` (the CI release-mode
 //!   acceptance sweep, which also crosses the scan vs incremental DRAM
 //!   schedulers), a representative cross-section by default so the
-//!   debug-mode tier-1 run stays affordable,
+//!   debug-mode tier-1 run stays affordable — plus the Table II system
+//!   under BARD-H, long enough to back-pressure its write queues,
 //! * serial vs parallel runner execution crossed with the engines,
 //! * live generation vs BTF trace replay crossed with the engines and with
 //!   both DRAM schedulers,
@@ -27,7 +28,7 @@ use std::path::{Path, PathBuf};
 
 use bard::experiment::{run_workloads_on, RunLength};
 use bard::runner::Runner;
-use bard::{EngineKind, RunResult, SystemConfig, TraceConfig};
+use bard::{EngineKind, RunResult, SystemConfig, TraceConfig, WritePolicyKind};
 use bard_bench::differential::StressCase;
 use bard_dram::SchedulerKind;
 use bard_workloads::WorkloadId;
@@ -130,6 +131,21 @@ fn registry_workloads_are_engine_invariant_at_1_4_8_cores() {
         saw_drains |= step.iter().any(|r| r.dram_stats.drain_episodes > 0);
     }
     assert!(saw_drains, "the sweep must stress write-drain episodes");
+
+    // The Table II system, which the experiments and the benchmark run. The
+    // small_test legs above never fill a write queue; this leg does, so it
+    // pins the write-queue back-pressure accounting across engines.
+    let table_ii = SystemConfig::baseline_8core().with_policy(WritePolicyKind::BardH);
+    let length = RunLength { functional_warmup: 500_000, timed_warmup: 2_500, measure: 12_500 };
+    let [step, skip] = [EngineKind::Step, EngineKind::Skip].map(|engine| {
+        let cfg = table_ii.clone().with_engine(engine);
+        run_workloads_on(&Runner::new(1), &cfg, &[WorkloadId::Mix0], length)
+    });
+    assert!(
+        step[0].dram_stats.write_queue_full_events > 0,
+        "the Table II leg must fill a write queue"
+    );
+    assert_identical(&step, &skip, "baseline_8core bard-h");
 }
 
 /// Write-queue saturation crossed over every (engine, scheduler) path,

@@ -18,10 +18,7 @@ use bard_workloads::WorkloadId;
 
 /// The full metric catalog, pinned name-by-name. A rename or reorder here
 /// is a telemetry schema change: bump `bard::report::schema::SCHEMA_VERSION`
-/// and update `docs/RESULTS.md` alongside this list. The `probe.*`,
-/// `mshr.*` and `dram.stat_settlements` names mirror the counters of the
-/// historical `BARD_PERF_COUNTERS` stderr line, which now reads from the
-/// same registry.
+/// and update `docs/RESULTS.md` alongside this list.
 const PINNED_METRIC_NAMES: &[&str] = &[
     "probe.set_scans",
     "probe.filter_skips",

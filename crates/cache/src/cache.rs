@@ -47,8 +47,7 @@ impl ProbeCounterCells {
 }
 
 /// Hot-path probe counters (never serialized into artifacts; published as
-/// the `probe.*` registry counters and printed by the `BARD_PERF_COUNTERS=1`
-/// one-line summary). Every [`SetAssocCache::probe`] either skips or passes
+/// the `probe.*` registry counters). Every [`SetAssocCache::probe`] either skips or passes
 /// the presence filter, and only a pass scans the set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCounters {

@@ -84,9 +84,8 @@ impl TraceConfig {
 /// Both engines run the *same* per-cycle model and produce bitwise-identical
 /// results (the `engine_parity` suite pins this); the skip engine is the
 /// default because it is strictly faster. The reference engine exists so
-/// parity stays testable forever. Selectable per run via the `--engine=` CLI
-/// flag or the `BARD_ENGINE` environment variable (see
-/// [`EngineKind::from_env`]).
+/// parity stays testable forever; tests and benches select it through
+/// [`SystemConfig::engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Reference engine: one CPU cycle per step, no skipping.
@@ -101,42 +100,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parses an engine name (`step` or `skip`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognised name.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "step" => Ok(Self::Step),
-            "skip" => Ok(Self::Skip),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads the `BARD_ENGINE` environment variable (`step` or `skip`).
-    /// Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — silently falling back would make
-    /// an engine comparison measure nothing.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        // bard-lint: allow(D1) -- sanctioned cosmetic-knob override, read once at config
-        // construction (never during simulation) and pinned result-neutral by the engine
-        // parity suites.
-        match std::env::var("BARD_ENGINE") {
-            Ok(v) if v.is_empty() => None,
-            Ok(v) => Some(
-                Self::from_name(&v)
-                    .unwrap_or_else(|v| panic!("BARD_ENGINE='{v}' (expected step|skip)")),
-            ),
-            Err(_) => None,
-        }
-    }
-
-    /// The engine's CLI/report name.
+    /// The engine's report name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -455,9 +419,6 @@ mod tests {
     #[test]
     fn engine_defaults_to_skip_and_parses_names() {
         assert_eq!(SystemConfig::baseline_8core().engine, EngineKind::Skip);
-        assert_eq!(EngineKind::from_name("step"), Ok(EngineKind::Step));
-        assert_eq!(EngineKind::from_name("skip"), Ok(EngineKind::Skip));
-        assert!(EngineKind::from_name("warp").is_err());
         assert_eq!(EngineKind::Step.name(), "step");
         let c = SystemConfig::small_test().with_engine(EngineKind::Step);
         assert_eq!(c.engine, EngineKind::Step);

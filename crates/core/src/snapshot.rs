@@ -1213,47 +1213,19 @@ impl Snapshot {
 /// Current process-lifetime snapshot counters: `(images_written,
 /// images_reused, warmup_instructions_skipped)`. The cells live in the
 /// telemetry registry (`snapshot.images_written` and friends) and count
-/// unconditionally — `repro`'s `summary.json` warm-fork rollup and the
-/// `[bard-perf]` snapshot line read them whether or not telemetry is on.
+/// unconditionally — `repro`'s `summary.json` warm-fork rollup reads them
+/// whether or not telemetry is on.
 #[must_use]
 pub fn counters() -> (u64, u64, u64) {
     (
-        // bard-lint: allow(T1) -- report-only read: feeds summary.json / [bard-perf] lines,
-        // never a model decision.
+        // bard-lint: allow(T1) -- report-only read: feeds summary.json, never a model
+        // decision.
         crate::telemetry::SNAPSHOT_IMAGES_WRITTEN.value(),
         // bard-lint: allow(T1) -- report-only read (same as above).
         crate::telemetry::SNAPSHOT_IMAGES_REUSED.value(),
         // bard-lint: allow(T1) -- report-only read (same as above).
         crate::telemetry::SNAPSHOT_WARMUP_INSTRUCTIONS_SKIPPED.value(),
     )
-}
-
-/// Renders the `BARD_PERF_COUNTERS` snapshot summary line for the given
-/// counter values (see [`format_counters_line`]).
-#[must_use]
-pub fn render_counters_line(written: u64, reused: u64, skipped: u64) -> String {
-    format!(
-        "[bard-perf] snapshot images_written={written} images_reused={reused} \
-         warmup_instructions_skipped={skipped}"
-    )
-}
-
-/// The `BARD_PERF_COUNTERS` snapshot summary line for this process's
-/// counters.
-#[must_use]
-pub fn format_counters_line() -> String {
-    let (written, reused, skipped) = counters();
-    render_counters_line(written, reused, skipped)
-}
-
-/// Prints [`format_counters_line`] to stderr when `BARD_PERF_COUNTERS` is
-/// enabled (any non-empty value other than `"0"`), mirroring the per-run
-/// `[bard-perf]` lines the system emits. Drivers call this once after a
-/// snapshot-backed grid completes.
-pub fn print_counters_if_enabled() {
-    if crate::telemetry::perf_line_enabled() {
-        eprintln!("{}", format_counters_line());
-    }
 }
 
 /// Monotonic discriminator for temporary file names (several worker threads
@@ -1409,16 +1381,6 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes.push(0);
         assert!(matches!(Snapshot::from_bytes(&bytes), Err(SnapshotError::Format { .. })));
-    }
-
-    #[test]
-    fn perf_counter_line_format_is_pinned() {
-        assert_eq!(
-            render_counters_line(3, 5, 1_000_000),
-            "[bard-perf] snapshot images_written=3 images_reused=5 \
-             warmup_instructions_skipped=1000000"
-        );
-        assert!(format_counters_line().starts_with("[bard-perf] snapshot images_written="));
     }
 
     #[test]

@@ -322,8 +322,8 @@ pub struct System {
     /// to the line-watch set and must re-check it this very tick (the
     /// pre-routing engine visited every watcher on completion ticks).
     forced_visit: u64,
-    /// Lifetime count of perf-counter events (see `BARD_PERF_COUNTERS`):
-    /// MSHR completions that freed a slot.
+    /// Lifetime count of MSHR completions that freed a slot (flushed to the
+    /// `mshr.releases` registry counter).
     perf_mshr_releases: u64,
     /// Cores woken from the MSHR-full wait set (`mshr_wait_mask`); with
     /// single-waiter routing this should track `perf_mshr_releases` closely
@@ -783,7 +783,7 @@ impl System {
             subchannels += s.subchannels;
             energy.merge(&mc.energy());
         }
-        if self.telemetry_active || perf_counters_enabled() {
+        if self.telemetry_active {
             let mut probes = ProbeCounters::default();
             for ctx in &self.cores {
                 probes.merge(&ctx.l1d.probe_counters());
@@ -791,29 +791,14 @@ impl System {
             }
             probes.merge(&self.llc.probe_counters());
             let settlements: u64 = self.mcs.iter().map(MemoryController::settle_events).sum();
-            if self.telemetry_active {
-                self.flush_run_telemetry(
-                    instructions_per_core,
-                    measure_start_cycle,
-                    completed,
-                    &probes,
-                    settlements,
-                    dram.drain_episodes,
-                );
-            }
-            if perf_counters_enabled() {
-                eprintln!(
-                    "[bard-perf] workload={} set_scans={} filter_skips={} filter_passes={} \
-                     mshr_releases={} mshr_wakes={} stat_settlements={}",
-                    self.workload.name(),
-                    probes.set_scans,
-                    probes.filter_skips,
-                    probes.filter_passes,
-                    self.perf_mshr_releases,
-                    self.perf_mshr_wakes,
-                    settlements,
-                );
-            }
+            self.flush_run_telemetry(
+                instructions_per_core,
+                measure_start_cycle,
+                completed,
+                &probes,
+                settlements,
+                dram.drain_episodes,
+            );
         }
         RunResult {
             workload: self.workload,
@@ -1973,14 +1958,6 @@ fn build_trace(config: &SystemConfig, workload: WorkloadId, core: usize) -> Box<
         });
     let seed = config.seed;
     Box::new(replay.with_live_fallback(move || workload.build(core, seed)))
-}
-
-/// True when `BARD_PERF_COUNTERS=1` (or any non-empty value other than
-/// `0`): hot-path instrumentation — probe-filter hits/skips, tag-array set
-/// scans, MSHR wake routing and lazy stat settlements — is summarised on
-/// stderr as one line per collected run. Cached after the first read.
-fn perf_counters_enabled() -> bool {
-    telemetry::perf_line_enabled()
 }
 
 fn completion_event(core: usize, req: &CoreRequest) -> Event {

@@ -14,11 +14,9 @@
 //!    golden test pin the schema. Hot paths stay zero-cost when telemetry is
 //!    disabled: the simulator keeps counting into its existing per-`System`
 //!    fields and flushes them into the registry once per run, behind a
-//!    single cached branch — the same discipline `BARD_PERF_COUNTERS`
-//!    already established. Cold-path counters (snapshot images, decode
-//!    cache) count unconditionally; they were unconditional before the
-//!    registry existed and downstream consumers (the `[bard-perf]` snapshot
-//!    line, `summary.json`'s warm-fork rollup) rely on that.
+//!    single cached branch. Cold-path counters (snapshot images, decode
+//!    cache) count unconditionally, because `summary.json`'s warm-fork
+//!    rollup reads them whether or not telemetry is on.
 //! 2. **Simulated-time tracer** ([`trace_span`], [`trace_events_json`]) —
 //!    events keyed by *simulated cycles*, not host time, rendered as Chrome
 //!    trace-event JSON (load it in Perfetto or `chrome://tracing`). Because
@@ -34,10 +32,9 @@
 //!
 //! ## Enabling
 //!
-//! Telemetry is off by default. `BARD_TELEMETRY=1` turns it on;
-//! `BARD_PERF_COUNTERS=1` remains a compat alias that enables telemetry
-//! *and* the classic one-line stderr summaries. Tests toggle in-process with
-//! [`set_enabled`] instead of racing on the environment.
+//! Telemetry is off by default. `BARD_TELEMETRY=1` turns it on; it is the
+//! only observability switch. Tests toggle in-process with [`set_enabled`]
+//! instead of racing on the environment.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -51,20 +48,15 @@ use crate::report::schema::SCHEMA_VERSION;
 // Enablement
 // ---------------------------------------------------------------------------
 
-/// Tri-state cells: 0 = off, 1 = on, 2 = not yet read from the environment.
+/// Tri-state cell: 0 = off, 1 = on, 2 = not yet read from the environment.
 const STATE_UNSET: u8 = 2;
 
 static ENABLED: AtomicU8 = AtomicU8::new(STATE_UNSET);
-static PERF_LINE: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-fn env_truthy(key: &str) -> bool {
-    std::env::var(key).is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// True when telemetry (metrics flushing, tracing, phase timing) is active.
 ///
-/// Initialised lazily from `BARD_TELEMETRY` or the `BARD_PERF_COUNTERS`
-/// compat alias; after the first read this is a single relaxed atomic load.
+/// Initialised lazily from `BARD_TELEMETRY` (any non-empty value other than
+/// `0`); after the first read this is a single relaxed atomic load.
 /// `System` additionally caches the value at construction so its hot paths
 /// branch on a plain bool.
 #[must_use]
@@ -73,7 +65,7 @@ pub fn enabled() -> bool {
         0 => false,
         1 => true,
         _ => {
-            let on = env_truthy("BARD_TELEMETRY") || env_truthy("BARD_PERF_COUNTERS");
+            let on = std::env::var("BARD_TELEMETRY").is_ok_and(|v| !v.is_empty() && v != "0");
             ENABLED.store(u8::from(on), Ordering::Relaxed);
             on
         }
@@ -85,28 +77,6 @@ pub fn enabled() -> bool {
 /// in-process without racing on `std::env`.
 pub fn set_enabled(on: bool) {
     ENABLED.store(u8::from(on), Ordering::Relaxed);
-}
-
-/// True when the classic `[bard-perf]` one-line stderr summaries should be
-/// printed (the `BARD_PERF_COUNTERS` env var specifically; setting it also
-/// enables telemetry, see [`enabled`]).
-#[must_use]
-pub fn perf_line_enabled() -> bool {
-    match PERF_LINE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let on = env_truthy("BARD_PERF_COUNTERS");
-            PERF_LINE.store(u8::from(on), Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Forces the `[bard-perf]` stderr summaries on or off (test hook; see
-/// [`set_enabled`]).
-pub fn set_perf_line_enabled(on: bool) {
-    PERF_LINE.store(u8::from(on), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------

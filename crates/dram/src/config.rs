@@ -35,42 +35,7 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Parses a scheduler name (`scan` or `incremental`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognised name.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "scan" => Ok(Self::Scan),
-            "incremental" => Ok(Self::Incremental),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads the `BARD_SCHED` environment variable (`scan` or
-    /// `incremental`). Returns `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — silently falling back would make a
-    /// scheduler comparison measure nothing.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        // bard-lint: allow(D1) -- sanctioned cosmetic-knob override, read once at config
-        // construction (never during simulation) and pinned result-neutral by the
-        // scheduler parity suites.
-        match std::env::var("BARD_SCHED") {
-            Ok(v) if v.is_empty() => None,
-            Ok(v) => Some(
-                Self::from_name(&v)
-                    .unwrap_or_else(|v| panic!("BARD_SCHED='{v}' (expected scan|incremental)")),
-            ),
-            Err(_) => None,
-        }
-    }
-
-    /// The scheduler's CLI name.
+    /// The scheduler's report name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -353,9 +318,6 @@ mod tests {
     #[test]
     fn scheduler_defaults_to_incremental_and_parses_names() {
         assert_eq!(DramConfig::ddr5_4800_x4().scheduler, SchedulerKind::Incremental);
-        assert_eq!(SchedulerKind::from_name("scan"), Ok(SchedulerKind::Scan));
-        assert_eq!(SchedulerKind::from_name("incremental"), Ok(SchedulerKind::Incremental));
-        assert!(SchedulerKind::from_name("magic").is_err());
         assert_eq!(SchedulerKind::Scan.name(), "scan");
         let c = DramConfig::ddr5_4800_x4().with_scheduler(SchedulerKind::Scan);
         assert_eq!(c.scheduler, SchedulerKind::Scan);

@@ -78,8 +78,10 @@ pub struct SubChannelStats {
     pub write_to_write_gaps: u64,
     /// Maximum per-episode mean write-to-write gap (cycles), for Table V "max".
     pub max_episode_mean_gap_cycles: f64,
-    /// Writes that were issued while the write queue was full and the
-    /// requester had to be back-pressured.
+    /// Accepted write enqueues that left the write queue full, i.e. the
+    /// number of times the queue reached capacity and began back-pressuring
+    /// the requester. Refused retries are not counted: a refusal changes no
+    /// state, so the skip engine never executes it.
     pub write_queue_full_events: u64,
     /// Per-episode record of the most recent completed episode.
     pub last_episode: DrainEpisodeStats,

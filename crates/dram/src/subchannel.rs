@@ -270,8 +270,9 @@ pub struct SubChannel {
     /// settles the elapsed span against the *pre-mutation* state first, so
     /// quiet and skipped spans cost O(1) instead of one update per tick.
     settled_to: u64,
-    /// Count of non-empty statistic settlements (perf counter; see
-    /// `BARD_PERF_COUNTERS`). Not part of [`SubChannelStats`].
+    /// Count of non-empty statistic settlements (published as the
+    /// `dram.stat_settlements` registry counter). Not part of
+    /// [`SubChannelStats`].
     // bard-lint: allow(S1) -- perf-observability counter, never compared or restored.
     settle_events: u64,
     /// When true, every finished drain episode is appended to
@@ -473,7 +474,6 @@ impl SubChannel {
     /// the LLC to stall fills when DRAM cannot keep up with writes).
     pub fn enqueue_write(&mut self, mut req: MemRequest, now: u64) -> Result<(), EnqueueError> {
         if !self.can_accept_write() {
-            self.stats.write_queue_full_events += 1;
             return Err(EnqueueError::WriteQueueFull);
         }
         self.settle_stats(now + 1);
@@ -486,6 +486,12 @@ impl SubChannel {
             self.write_mask |= 1u64 << bank;
         }
         self.write_q.push_back(QueuedRequest { req, outcome: None, order });
+        // Counted on the accepted enqueue that fills the queue, not on each
+        // refused retry: the skip engine jumps over refusals (they change no
+        // state), so a per-refusal count would depend on the engine.
+        if !self.can_accept_write() {
+            self.stats.write_queue_full_events += 1;
+        }
         match self.mode {
             BusMode::Read => {
                 // A buffered write can do nothing until a drain starts; that
@@ -1679,10 +1685,16 @@ mod tests {
         let mut sc = SubChannel::new(&cfg);
         let addrs = addrs_where(&mapping, cfg.write_queue_entries + 1, |_| true);
         for (i, a) in addrs.iter().take(cfg.write_queue_entries).enumerate() {
+            assert_eq!(sc.stats().write_queue_full_events, 0, "queue not yet full");
             sc.enqueue_write(make_req(&mapping, i as u64, RequestKind::Write, *a), 0).unwrap();
         }
+        // The enqueue that filled the queue is the one event; refused
+        // retries do not count.
+        assert_eq!(sc.stats().write_queue_full_events, 1);
         let extra = make_req(&mapping, 9_999, RequestKind::Write, addrs[cfg.write_queue_entries]);
-        assert_eq!(sc.enqueue_write(extra, 0), Err(EnqueueError::WriteQueueFull));
+        for _ in 0..3 {
+            assert_eq!(sc.enqueue_write(extra, 0), Err(EnqueueError::WriteQueueFull));
+        }
         assert_eq!(sc.stats().write_queue_full_events, 1);
     }
 

@@ -1,7 +1,8 @@
-//! **R1 — reference-twin registry.** Every selectable fast path in the
-//! simulator has a reference twin (step vs skip engine, scan vs incremental
-//! scheduler), and the differential suite's `all_paths()` cross is the
-//! registry that keeps them honest. This pass pins three facts statically:
+//! **R1 — reference-twin registry.** Every fast path in the simulator has a
+//! reference twin (step vs skip engine, scan vs incremental scheduler) that
+//! only tests and benches select, through the `SystemConfig::engine` and
+//! `DramConfig::scheduler` fields; the differential suite's `all_paths()`
+//! cross is the registry that keeps them honest. This pass pins three facts statically:
 //!
 //! * every variant of every fast-path enum appears in the `all_paths()`
 //!   body, and the cross is complete (`N == product of variant counts`,

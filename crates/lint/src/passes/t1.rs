@@ -36,9 +36,7 @@ const WRITE_API: &[&str] = &[
     "trace_instant",
     "flush_phase_nanos",
     "set_enabled",
-    "set_perf_line_enabled",
     "enabled",
-    "perf_line_enabled",
     "Phase",
     "PHASE_COUNT",
     "Progress",
