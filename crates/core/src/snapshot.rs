@@ -60,7 +60,7 @@ pub const MAGIC: [u8; 4] = *b"BSS1";
 
 /// Current container version. Bump on any layout change; decoding refuses
 /// other versions with [`SnapshotError::Version`].
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Header bytes before the payload (magic + version + flags + two digests +
 /// payload length).
@@ -369,6 +369,8 @@ pub(crate) struct SystemImage {
     pub events: Vec<EventImage>,
     pub perf_mshr_releases: u64,
     pub perf_mshr_wakes: u64,
+    /// The round-robin arbiter's pointer: the core visited first next tick.
+    pub arb_next: u64,
     pub progress: Option<ProgressImage>,
 }
 
@@ -955,6 +957,7 @@ pub(crate) fn encode_image(image: &SystemImage) -> Vec<u8> {
     }
     e.u64(image.perf_mshr_releases);
     e.u64(image.perf_mshr_wakes);
+    e.u64(image.arb_next);
     match &image.progress {
         None => e.bool(false),
         Some(p) => {
@@ -995,6 +998,7 @@ pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError>
         .collect::<Result<_, SnapshotError>>()?;
     let perf_mshr_releases = d.u64()?;
     let perf_mshr_wakes = d.u64()?;
+    let arb_next = d.u64()?;
     let progress = if d.bool()? {
         let stage = d.u8()?;
         if stage > 1 {
@@ -1023,6 +1027,7 @@ pub(crate) fn decode_image(payload: &[u8]) -> Result<SystemImage, SnapshotError>
         events,
         perf_mshr_releases,
         perf_mshr_wakes,
+        arb_next,
         progress,
     })
 }
@@ -1362,10 +1367,11 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_with_a_named_error() {
+        // Version 1 predates the arbiter pointer in the payload.
         let mut bytes = sample().to_bytes();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
         match Snapshot::from_bytes(&bytes) {
-            Err(SnapshotError::Version { found: 2 }) => {}
+            Err(SnapshotError::Version { found: 1 }) => {}
             other => panic!("expected Version error, got {other:?}"),
         }
     }

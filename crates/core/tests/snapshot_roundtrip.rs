@@ -80,10 +80,11 @@ fn version_bump_is_refused_by_name() {
     let (_, bytes) = captured_mid_run();
     // The version is the little-endian u32 right after the 4-byte magic and
     // is validated before the trailing checksum, so a bare bump is enough.
+    let bumped = bard::snapshot::VERSION + 1;
     let mut newer = bytes;
-    newer[4] = 2;
+    newer[4..8].copy_from_slice(&bumped.to_le_bytes());
     match Snapshot::from_bytes(&newer) {
-        Err(SnapshotError::Version { found }) => assert_eq!(found, 2),
+        Err(SnapshotError::Version { found }) => assert_eq!(found, bumped),
         other => panic!("expected SnapshotError::Version, got {other:?}"),
     }
 }
